@@ -276,3 +276,137 @@ fn engines_agree_without_compaction_and_without_fast_forward() {
     };
     assert_eq!(run(SchedulerMode::EventDriven), run(SchedulerMode::DenseSweep));
 }
+
+/// Every bit a [`RunReport`] exposes, floats as raw bits.
+fn report_bits(r: &RunReport) -> Vec<u64> {
+    vec![
+        r.ticks,
+        r.delivered as u64,
+        r.refusals,
+        r.compaction_moves,
+        r.mean_utilization.to_bits(),
+        r.peak_virtual_buses as u64,
+        r.undelivered as u64,
+        u64::from(r.stalled),
+        r.retries,
+        r.aborted as u64,
+        r.fault_kills,
+        r.makespan(),
+        r.mean_latency().to_bits(),
+        r.mean_setup_latency().to_bits(),
+        r.recovered() as u64,
+        r.mean_time_to_recover().to_bits(),
+        r.max_time_to_recover(),
+    ]
+}
+
+/// Report bits, delivered and aborted logs, and trace of one run.
+type Windowed = (
+    Vec<u64>,
+    Vec<rmb_types::DeliveredMessage>,
+    Vec<rmb_types::AbortedMessage>,
+    Vec<TraceEvent>,
+);
+
+/// Runs `early` from tick 0 and `late` submitted at tick 200 (some of it
+/// overdue by then) for `ticks` ticks, advancing either one
+/// `run_window(now + 1)` at a time, as the hierarchy drives its rings, or
+/// by plain `run` calls.
+fn drive_windows(
+    cfg: RmbConfig,
+    mode: SchedulerMode,
+    compaction: CompactionMode,
+    plan: &FaultPlan,
+    msgs: (&[MessageSpec], &[MessageSpec]),
+    ticks: u64,
+    windowed: bool,
+) -> Windowed {
+    let mut net = RmbNetwork::builder(cfg)
+        .scheduler(mode)
+        .compaction_mode(compaction)
+        .checked(true)
+        .recording(true)
+        .fault_plan(plan.clone())
+        .fault_seed(3)
+        .max_retries(8)
+        .build();
+    let advance = |net: &mut RmbNetwork, n: u64| {
+        if windowed {
+            for _ in 0..n {
+                let now = net.now().get();
+                net.run_window(now + 1);
+            }
+        } else {
+            net.run(n);
+        }
+    };
+    net.submit_all(msgs.0.iter().copied()).unwrap();
+    advance(&mut net, 200);
+    net.submit_all(msgs.1.iter().copied()).unwrap();
+    advance(&mut net, ticks - 200);
+    (
+        report_bits(&net.report()),
+        net.delivered_log().to_vec(),
+        net.aborted_log().to_vec(),
+        net.take_events(),
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// `run_window` skips the phase sequence on idle ticks; one-tick
+    /// windows must still reproduce `run` bit for bit under either
+    /// scheduler, random traffic and random faults.
+    #[test]
+    fn windowed_runs_match_plain_runs(
+        n in 4u32..12,
+        k in 1u16..4,
+        raw in vec(any::<RawMsg>(), 2..12),
+        faults in vec(any::<RawFault>(), 0..8),
+    ) {
+        let msgs = build_msgs(n, &raw);
+        let (early, late) = msgs.split_at(msgs.len() / 2);
+        let cfg = RmbConfig::builder(n, k)
+            .head_timeout(8 * n as u64)
+            .retry_backoff(n as u64)
+            .build()
+            .unwrap();
+        let plan = build_plan(n, k, &faults);
+        for mode in [SchedulerMode::EventDriven, SchedulerMode::DenseSweep] {
+            let sync = CompactionMode::Synchronous;
+            let run = |windowed| {
+                drive_windows(cfg, mode, sync.clone(), &plan, (early, late), 3_000, windowed)
+            };
+            prop_assert_eq!(run(true), run(false), "{:?}", mode);
+        }
+    }
+}
+
+/// The handshake compactor steps its INC controllers on every tick, busy
+/// or not, so `run_window` must not skip idle ticks there: traffic that
+/// resumes after an idle gap sees the same controller phases either way.
+#[test]
+fn windowed_runs_match_plain_runs_under_handshake_compaction() {
+    let cfg = RmbConfig::builder(8, 3).head_timeout(64).build().unwrap();
+    let periods = vec![1, 2, 3, 1, 2, 3, 2, 1];
+    let spec =
+        |s: u32, d: u32, at: u64| MessageSpec::new(NodeId::new(s), NodeId::new(d), 12).at(at);
+    let early = [spec(0, 5, 0), spec(2, 7, 3), spec(4, 1, 5)];
+    let late = [
+        spec(1, 6, 310),
+        spec(3, 0, 317),
+        spec(6, 2, 311),
+        spec(5, 3, 190),
+    ];
+    let plan = FaultPlan::new();
+    for mode in [SchedulerMode::EventDriven, SchedulerMode::DenseSweep] {
+        let run = |windowed| {
+            let compaction = CompactionMode::Handshake {
+                periods: periods.clone(),
+            };
+            drive_windows(cfg, mode, compaction, &plan, (&early, &late), 800, windowed)
+        };
+        assert_eq!(run(true), run(false), "{mode:?}");
+    }
+}

@@ -49,7 +49,8 @@ use rmb_types::{
     AbortedMessage, DeliveredMessage, ExecMode, FaultPlan, HierConfig, HierLeg, HierMessageSpec,
     MessageSpec, NodeId, PerfStats, ProtocolError, RequestId,
 };
-use std::collections::{HashMap, VecDeque};
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::time::Instant;
 
 /// Completion record for a hierarchical message.
@@ -271,8 +272,15 @@ pub struct HierNetwork {
     global: RmbNetwork,
     bridges: Vec<Bridge>,
     msgs: Vec<HierMsg>,
-    /// Ids currently in `AtSource`, in submission (= id) order.
-    at_source: Vec<u64>,
+    /// Messages in `AtSource` as a min-heap of `(not_before, id)`, so a
+    /// launch phase touches only the due ones.
+    at_source: BinaryHeap<Reverse<(u64, u64)>>,
+    /// Ids submitted since the last launch phase, which moves them into
+    /// `at_source` with one bulk rebuild (cheaper than a heap push per
+    /// submit).
+    fresh: Vec<u64>,
+    /// Scratch for the ids due in one launch phase.
+    due: Vec<u64>,
     /// `(carrier, ring-local request id) → hier message id` for every leg
     /// in flight. Carrier `r < rings` is local ring `r`; carrier `rings`
     /// is the global ring.
@@ -421,7 +429,7 @@ impl HierNetwork {
                 not_before: spec.inject_at,
             },
         });
-        self.at_source.push(id);
+        self.fresh.push(id);
         self.live += 1;
         Ok(RequestId::new(id))
     }
@@ -435,7 +443,11 @@ impl HierNetwork {
     where
         I: IntoIterator<Item = HierMessageSpec>,
     {
-        specs.into_iter().map(|s| self.submit(s)).collect()
+        let specs = specs.into_iter();
+        let (lower, _) = specs.size_hint();
+        self.msgs.reserve(lower);
+        self.fresh.reserve(lower);
+        specs.map(|s| self.submit(s)).collect()
     }
 
     /// Advances every ring by one synchronisation window (one tick, the
@@ -481,21 +493,25 @@ impl HierNetwork {
     }
 
     /// `true` when some ring has due work, or a message is due to launch
-    /// a leg this tick.
+    /// a leg this tick. Source launches answer from the heap top (and
+    /// the submissions not yet moved into it), bridge launches from each
+    /// queue's front.
     pub fn has_due_work(&self) -> bool {
         if self.locals.iter().any(RmbNetwork::has_due_work) || self.global.has_due_work() {
             return true;
         }
         let now = self.now;
-        let due = |&id: &u64| match self.msgs[id as usize].stage {
-            Stage::AtSource { not_before } | Stage::AtBridge { not_before } => not_before <= now,
-            _ => false,
-        };
-        self.at_source.iter().any(due)
+        self.at_source
+            .peek()
+            .is_some_and(|&Reverse((not_before, _))| not_before <= now)
             || self
-                .bridges
+                .fresh
                 .iter()
-                .any(|b| b.up.front().is_some_and(&due) || b.down.front().is_some_and(&due))
+                .any(|&id| self.msgs[id as usize].spec.inject_at <= now)
+            || self.bridges.iter().any(|b| {
+                b.up.front().is_some_and(|&id| self.due_at_bridge(id))
+                    || b.down.front().is_some_and(|&id| self.due_at_bridge(id))
+            })
     }
 
     /// Runs until every message is terminal, the tick budget is spent, or
@@ -587,43 +603,62 @@ impl HierNetwork {
     /// Launches due messages out of their source PEs: intra-ring traffic
     /// goes straight into its local ring; inter-ring traffic needs an up
     /// slot at its ring's bridge first.
+    ///
+    /// Costs O(fresh + due · log backlog): fresh submissions join the
+    /// heap in one rebuild, and only the due entries are popped. They are
+    /// attempted in ascending id order — the order launches compete for
+    /// bridge slots in, and so part of the output.
     fn launch_source_legs(&mut self) {
-        let mut list = std::mem::take(&mut self.at_source);
-        list.retain(|&id| !self.try_launch_source(id));
-        self.at_source = list;
+        let msgs = &self.msgs;
+        self.at_source.extend(
+            self.fresh
+                .drain(..)
+                .map(|id| Reverse((msgs[id as usize].spec.inject_at, id))),
+        );
+        let mut due = std::mem::take(&mut self.due);
+        while let Some(&Reverse((not_before, id))) = self.at_source.peek() {
+            if not_before > self.now {
+                break;
+            }
+            self.at_source.pop();
+            due.push(id);
+        }
+        due.sort_unstable();
+        for &id in &due {
+            self.try_launch_source(id);
+        }
+        due.clear();
+        self.due = due;
     }
 
-    /// Attempts the first leg of message `id`; `true` when it launched
-    /// (and so left the source list).
-    fn try_launch_source(&mut self, id: u64) -> bool {
+    /// Attempts the first leg of due message `id`; a refused message goes
+    /// back on the heap with its backed-off `not_before`.
+    fn try_launch_source(&mut self, id: u64) {
         let now = self.now;
-        let spec = {
-            let m = &self.msgs[id as usize];
-            match m.stage {
-                Stage::AtSource { not_before } if not_before <= now => m.spec,
-                _ => return false,
-            }
-        };
+        let spec = self.msgs[id as usize].spec;
+        debug_assert!(
+            matches!(self.msgs[id as usize].stage, Stage::AtSource { not_before } if not_before <= now),
+            "message {id} popped as due at {now}"
+        );
         if spec.is_intra_ring() {
             let r = spec.source.ring;
             let leg = MessageSpec::new(spec.source.node, spec.destination.node, spec.data_flits)
                 .at(now);
             self.launch(id, r, leg, HierLeg::SourceLocal, None, None);
-            return true;
+            return;
         }
         let b = spec.source.ring;
         if self.bridges[b as usize].up_occupancy() >= self.cfg.bridge_queue_depth() {
             self.refuse(id, b, "up");
             let m = &mut self.msgs[id as usize];
-            m.stage = Stage::AtSource {
-                not_before: now + self.cfg.bridge_backoff() * m.refusals as u64,
-            };
-            return false;
+            let not_before = now + self.cfg.bridge_backoff() * m.refusals as u64;
+            m.stage = Stage::AtSource { not_before };
+            self.at_source.push(Reverse((not_before, id)));
+            return;
         }
         self.bridges[b as usize].up_reserved += 1;
         let leg = MessageSpec::new(spec.source.node, self.cfg.bridge(), spec.data_flits).at(now);
         self.launch(id, b, leg, HierLeg::SourceLocal, None, Some(b));
-        true
     }
 
     /// Launches due messages out of bridge queues: the down direction
@@ -631,6 +666,10 @@ impl HierNetwork {
     /// which must reserve a down slot at the destination bridge. One
     /// launch per direction per bridge per tick — a bridge's egress is a
     /// single INC port.
+    ///
+    /// Unlike source launches these need no time index: the queues are
+    /// FIFO and launch head-of-line only, so checking each front is
+    /// already O(rings) per tick, independent of how many messages wait.
     fn launch_bridge_legs(&mut self) {
         let now = self.now;
         let depth = self.cfg.bridge_queue_depth();
@@ -896,6 +935,25 @@ impl HierNetwork {
             .filter(|m| matches!(m.stage, Stage::Done | Stage::Failed))
             .count();
         assert_eq!(self.msgs.len() - terminal, self.live, "live count drifted");
+        // The source heap indexes exactly the `AtSource` messages, each
+        // under its current `not_before`.
+        let waiting = self
+            .msgs
+            .iter()
+            .filter(|m| matches!(m.stage, Stage::AtSource { .. }))
+            .count();
+        assert_eq!(
+            self.at_source.len() + self.fresh.len(),
+            waiting,
+            "source index drifted"
+        );
+        for &Reverse((at, id)) in self.at_source.iter() {
+            assert_eq!(
+                self.msgs[id as usize].stage,
+                Stage::AtSource { not_before: at },
+                "source heap entry for {id} is stale"
+            );
+        }
     }
 }
 
@@ -1021,7 +1079,9 @@ impl HierNetworkBuilder {
             locals,
             global: g.build(),
             msgs: Vec::new(),
-            at_source: Vec::new(),
+            at_source: BinaryHeap::new(),
+            fresh: Vec::new(),
+            due: Vec::new(),
             in_flight: HashMap::new(),
             dcur: vec![0; carriers],
             acur: vec![0; carriers],
@@ -1140,6 +1200,70 @@ mod tests {
         assert!(report.bridge_refusals > 0, "depth 1 must refuse a burst");
         assert_eq!(net.bridge_load(0), (0, 0));
         assert_eq!(net.bridge_load(1), (0, 0));
+    }
+
+    #[test]
+    fn has_due_work_sees_fresh_submissions() {
+        let mut net = HierNetwork::new(small());
+        for _ in 0..50 {
+            net.tick();
+        }
+        assert!(!net.has_due_work());
+        // Overdue and due-now submissions are due before any launch phase
+        // moved them onto the source heap.
+        net.submit(HierMessageSpec::new(addr(0, 1), addr(1, 2), 4).at(20))
+            .unwrap();
+        assert!(net.has_due_work());
+        let mut net = HierNetwork::new(small());
+        net.submit(HierMessageSpec::new(addr(0, 1), addr(1, 2), 4))
+            .unwrap();
+        assert!(net.has_due_work());
+    }
+
+    #[test]
+    fn has_due_work_is_false_until_inject_at() {
+        let mut net = HierNetwork::new(small());
+        net.submit(HierMessageSpec::new(addr(0, 1), addr(0, 5), 4).at(7))
+            .unwrap();
+        for now in 0..7 {
+            assert_eq!(net.now(), now);
+            assert!(!net.has_due_work(), "nothing is due at {now}");
+            net.tick();
+        }
+        assert!(net.has_due_work(), "due at its inject_at");
+    }
+
+    #[test]
+    fn has_due_work_is_false_during_refusal_backoff() {
+        // Depth 1: `a` takes ring 0's only up slot, `b` is refused at tick
+        // 0 and backs off to tick 300; `a` finishes long before that.
+        let cfg = HierConfig::builder(2, 8, 2)
+            .bridge_queue_depth(1)
+            .bridge_backoff(300)
+            .build()
+            .unwrap();
+        let mut net = HierNetwork::builder(cfg).checked(true).build();
+        net.submit(HierMessageSpec::new(addr(0, 1), addr(1, 2), 4))
+            .unwrap();
+        net.submit(HierMessageSpec::new(addr(0, 3), addr(1, 4), 4))
+            .unwrap();
+        net.tick();
+        assert_eq!(net.report().bridge_refusals, 1);
+        // Run `a` to completion, teardown included.
+        let rings_busy = |net: &HierNetwork| {
+            net.global_ring().has_due_work() || (0..2).any(|r| net.local(r).has_due_work())
+        };
+        while net.delivered_log().is_empty() || rings_busy(&net) {
+            net.tick();
+        }
+        assert!(net.now() < 300, "`a` finishes inside the backoff");
+        while net.now() < 300 {
+            assert!(!net.has_due_work(), "`b` backs off at {}", net.now());
+            net.tick();
+        }
+        assert!(net.has_due_work(), "`b` is due at its not_before");
+        let report = net.run_to_quiescence(10_000);
+        assert_eq!((report.delivered, report.bridge_refusals), (2, 1));
     }
 
     #[test]
